@@ -38,6 +38,10 @@ from .fingerprint import annotate_plan, callable_identity, semantic_cache_key
 
 __all__ = ["CacheEntry", "CacheInvariantError", "PlanCache", "entry_seal"]
 
+#: Size at which :attr:`PlanCache._identity_memo` is cleared (the same
+#: bound ``Database._mode_memo`` uses).
+_IDENTITY_MEMO_LIMIT = 1024
+
 
 class CacheInvariantError(RuntimeError):
     """A predicate/function name was rebound to a different callable
@@ -105,6 +109,12 @@ class PlanCache:
         #: ``nonlocal`` counter), and re-deriving the identity after such
         #: state drifts would silently retire warm entries.  The stored
         #: ``fn`` keeps the object alive so its ``id`` is never reused.
+        #: Cleared at ``_IDENTITY_MEMO_LIMIT`` entries: every parse
+        #: builds fresh predicate lambdas, and keeping each one would
+        #: grow the memo by one entry per textual query.  A callable
+        #: seen again after a clear re-derives its identity, so one
+        #: whose captures drifted meanwhile keys apart (a miss, or an
+        #: alias error under ``on_alias="error"``), never a wrong hit.
         self._identity_memo: dict[int, tuple[Callable, object]] = {}
         #: Compiled-plan artifacts (``CompiledPlan``), a side table under
         #: the same semantic keys and per-relation invalidation as
@@ -134,7 +144,9 @@ class PlanCache:
         #: invalidation (the entry recomputes cold on its next use).
         self.maintain_fallback = 0
         #: ``False`` restores the pre-maintenance behaviour: every
-        #: insert invalidates (the benchmark's legacy baseline).
+        #: insert invalidates.  The fuzz ``delta`` scenario's twin
+        #: database and ``tests/engine/test_delta.py`` use it as the
+        #: reference that maintained answers are compared against.
         self.maintenance_enabled = True
         #: ``key -> MaintainedView`` for entries whose plan was handed
         #: to :meth:`put`; the delta-maintenance side table.
@@ -156,6 +168,8 @@ class PlanCache:
         memoized = self._identity_memo.get(id(fn))
         if memoized is None:
             identity = callable_identity(fn)
+            if len(self._identity_memo) >= _IDENTITY_MEMO_LIMIT:
+                self._identity_memo.clear()
             self._identity_memo[id(fn)] = (fn, identity)
         else:
             identity = memoized[1]

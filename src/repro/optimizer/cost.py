@@ -268,8 +268,8 @@ def choose_plan(
 # ----------------------------------------------------------------------
 # Adaptive execution-mode choice (``Database.run(mode="auto")``).
 
-#: Per-mode ``(work factor, fixed overhead)`` calibrated against the
-#: BENCH_PR4/PR6 cold-path measurements: the factor scales the
+#: Per-mode ``(work factor, fixed overhead)`` calibrated against
+#: cold-path executor timings on the HR workload: the factor scales the
 #: estimated work (per-unit cost relative to the reference
 #: interpreter), the overhead is the mode's fixed per-execution cost in
 #: the same work units (plan annotation, pipeline setup, artifact

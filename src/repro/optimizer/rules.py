@@ -282,14 +282,6 @@ def _push_select_through_union(plan: Plan, _catalog: Catalog) -> Optional[Plan]:
     return None
 
 
-def _push_select_below_project(plan: Plan, _catalog: Catalog) -> Optional[Plan]:
-    # sigma_p(pi_cols(R)) cannot move below pi in general (p sees the
-    # projected tuple); the profitable direction is pi above sigma:
-    # pi_cols(sigma_p(R)) stays as is.  Nothing to do here; placeholder
-    # intentionally removed from DEFAULT_RULES.
-    return None
-
-
 def _fuse_projects(plan: Plan, _catalog: Catalog) -> Optional[Plan]:
     if isinstance(plan, Project) and isinstance(plan.child, Project):
         inner = plan.child

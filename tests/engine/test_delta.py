@@ -351,6 +351,39 @@ class TestByteIdentityProperty:
             assert db.plan_cache.maintain_fallback == 0
 
 
+class TestHRWorkload:
+    """Maintenance over the keyed HR relations: every insert into
+    ``employees`` patches the warm entry in place, and the patched
+    answer equals cold recomputation and a maintenance-disabled twin."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            Project((0,), Difference(Scan("employees"), Scan("students"))),
+            Join(((0, 0),), Scan("employees"), Scan("students")),
+        ],
+        ids=["difference", "join"],
+    )
+    def test_inserts_match_cold_recomputation(self, hr_db, plan):
+        db, legacy = hr_db(), hr_db()
+        legacy.plan_cache.maintenance_enabled = False
+        db.run(plan)
+        legacy.run(plan)
+        rounds = 4
+        for r in range(rounds):
+            rows = [(9_000_000 + 10 * r + i, f"new{r}_{i}", "dept0")
+                    for i in range(3)]
+            db.insert("employees", rows)
+            legacy.insert("employees", rows)
+            hits = db.plan_cache.hits
+            _assert_parity(db, plan)
+            assert db.plan_cache.hits == hits + 1
+            assert legacy.run(plan).value == db.run_reference(plan).value
+        assert db.plan_cache.maintained >= rounds
+        assert db.plan_cache.maintain_fallback == 0
+        assert legacy.plan_cache.maintained == 0
+
+
 class TestIncrementalStats:
     def test_stats_not_recomputed_per_insert(self, small_db, monkeypatch):
         """``mode="auto"`` must not pay a full ``Stats.from_database``

@@ -291,6 +291,37 @@ class TestSemanticCacheKeys:
         )
         assert third.value == cvset(tup(3))
 
+    def test_identity_memo_stays_bounded_across_reparses(self, hr_db):
+        # Every Database.query re-parses its text into fresh predicate
+        # lambdas; the identity memo must not keep one entry per query.
+        from repro.engine.exec import CacheInvariantError
+        from repro.engine.exec.cache import _IDENTITY_MEMO_LIMIT
+
+        db = hr_db()
+        db.plan_cache = PlanCache(on_alias="error")
+        texts = [
+            "sigma[$1=1001](employees)",
+            "pi[1](sigma[$3='dept0'](employees) - students)",
+            "sigma[$1<$1](students)",
+        ]
+        want = [db.query(text, optimize=True).value for text in texts]
+        db.plan_cache.reset_stats()
+        rounds = _IDENTITY_MEMO_LIMIT // len(texts) + 1
+        for _ in range(rounds):
+            for text, value in zip(texts, want):
+                assert db.query(text, optimize=True).value == value
+        assert len(db.plan_cache._identity_memo) <= _IDENTITY_MEMO_LIMIT
+        assert db.plan_cache.hits == rounds * len(texts)
+        assert db.plan_cache.misses == 0
+        # A real alias of a parsed predicate's name still raises after
+        # the memo was cleared (called directly: Database.run would
+        # degrade the error to the reference interpreter).
+        with pytest.raises(CacheInvariantError):
+            execute_streaming(
+                Select("$1=1001", lambda t: t[0] == 1002, Scan("employees")),
+                db.relations, cache=db.plan_cache,
+            )
+
     def test_put_refreshes_existing_entry(self):
         from repro.engine.exec import CacheEntry
 

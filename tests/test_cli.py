@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import pytest
 
 from repro.cli import OPERATION_CATALOG, build_parser, main
 
@@ -102,25 +103,6 @@ class TestChaos:
         assert "divergences" in out
 
 
-class TestBenchPlumbing:
-    def test_bench_forwards_flags(self, monkeypatch):
-        import repro.bench
-
-        seen = {}
-        monkeypatch.setattr(
-            repro.bench, "main",
-            lambda argv: seen.setdefault("argv", argv) and 0 or 0,
-        )
-        code = main([
-            "bench", "--quick", "--skip-eperf", "--out", "X.json",
-            "--jobs", "3",
-        ])
-        assert code == 0
-        assert seen["argv"] == [
-            "--out", "X.json", "--quick", "--skip-eperf", "--jobs", "3",
-        ]
-
-
 class TestWriteup:
     def test_writeup_to_custom_path(self, tmp_path, capsys):
         target = tmp_path / "EXP.md"
@@ -135,6 +117,13 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(["list"])
         assert args.command == "list"
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        # perfbench/run.py is the only benchmark entry point.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestRecover:
