@@ -6,9 +6,7 @@ from .exec import (
     CacheInvariantError,
     PlanCache,
     execute_streaming,
-    plan_structural_hash,
     relation_fingerprint,
-    result_cache_key,
     semantic_cache_key,
 )
 from .fuzz import Divergence, FuzzReport, run_fuzz

@@ -35,33 +35,26 @@ from ..types.signatures import Signature, standard_signature
 from ..types.values import CVSet, Tup, Value, atoms_of
 from .exec import (
     MAX_PIPELINE_DEPTH,
-    NotPartitionable,
     PlanCache,
+    execute_batch,
     execute_compiled,
     execute_sharded,
     execute_streaming,
     plan_depth,
-    plan_partitioning,
     relation_fingerprint,
 )
 
-__all__ = ["Database", "SchemaError", "MODE_CHAIN", "SHARDED_CHAIN"]
+__all__ = ["Database", "SchemaError", "MODES"]
 
 _EMPTY = CVSet()
 
-#: Degradation order for :meth:`Database.run`: on executor failure,
-#: fall back one step right.  The reference interpreter is the
-#: injection-free terminal fallback — it has no cache, no compiler and
-#: no fault hooks, so the chain always terminates with an answer (or
-#: re-raises if even the reference fails, which no injected fault can
-#: cause).
-MODE_CHAIN = ("compiled", "batch", "stream", "reference")
-
-#: Degradation order when entering at ``mode="sharded"``: a lost
-#: worker or partition failure drops straight to the single-process
-#: batch executor — recompiling or re-partitioning cannot recover a
-#: fault the shard layer already hit.
-SHARDED_CHAIN = ("sharded", "batch", "stream", "reference")
+#: Executor modes :meth:`Database.run` accepts besides ``"auto"``.  A
+#: failure in any mode but ``"reference"`` re-runs once on the
+#: reference interpreter — the injection-free terminal fallback: no
+#: cache, no compiler and no fault hooks, so a degraded run always
+#: ends with an answer (or re-raises if even the reference fails,
+#: which no injected fault can cause).
+MODES = ("reference", "stream", "batch", "compiled", "sharded")
 
 
 class SchemaError(Exception):
@@ -404,9 +397,10 @@ class Database:
         :class:`~repro.optimizer.cost.ModeDecision`), memoized per
         (plan identity, mutation generation).
 
-        Plans deeper than ``MAX_PIPELINE_DEPTH`` never choose the
-        compiled path — its codegen is meant for pipelines, not
-        thousand-operator chains."""
+        Only modes that can win are scored: ``reference`` against
+        ``compiled``, or against ``batch`` for plans deeper than
+        ``MAX_PIPELINE_DEPTH`` — compiled codegen is meant for
+        pipelines, not thousand-operator chains."""
         entry = self._mode_memo.get(id(plan))
         if (
             entry is not None
@@ -416,20 +410,9 @@ class Database:
             return entry[2]
         from ..optimizer.cost import choose_mode
 
-        candidates = ("reference", "stream", "batch", "compiled")
+        candidates = ("reference", "compiled")
         if plan_depth(plan) > MAX_PIPELINE_DEPTH:
-            candidates = ("reference", "stream", "batch")
-        else:
-            try:
-                plan_partitioning(plan)
-            except NotPartitionable:
-                pass
-            else:
-                # Partition-parallel execution is only a candidate when
-                # the plan actually admits a ledger-preserving partition
-                # — its MODE_COST overhead keeps it out until estimated
-                # work dwarfs the process-pool spin-up.
-                candidates = candidates + ("sharded",)
+            candidates = ("reference", "batch")
         decision = choose_mode(
             plan, self.current_stats(), candidates=candidates
         )
@@ -557,49 +540,33 @@ class Database:
         self._mode_memo.clear()
 
     def _run_mode(
-        self, plan: Plan, mode: str, use_cache: bool, tracer,
-        shards=None,
+        self, plan: Plan, mode: str, use_cache: bool, tracer, shards
     ) -> ExecutionResult:
         """Dispatch one executor attempt (no fallback)."""
-        if mode == "sharded":
-            return execute_sharded(
-                plan,
-                self.relations,
-                shards=shards,
-                cache=self.plan_cache if use_cache else None,
-                key_index=self._join_index,
-                relation_stats=self.relation_stats,
-                tracer=tracer,
-                fault_injector=self._fault_injector,
-            )
         if mode == "reference":
             # The terminal fallback: no cache, no compiler, no fault
             # hooks — an injected fault can never reach it.
             return execute_reference(plan, self.relations, tracer=tracer)
+        common = dict(
+            cache=self.plan_cache if use_cache else None,
+            key_index=self._join_index,
+            tracer=tracer,
+            fault_injector=self._fault_injector,
+        )
+        if mode == "stream":
+            return execute_streaming(plan, self.relations, **common)
+        common["relation_stats"] = self.relation_stats
+        if mode == "batch":
+            return execute_batch(plan, self.relations, **common)
         if mode == "compiled":
             # The artifact memo is a *program* cache, not a result
             # cache: it stays on even when ``use_cache=False`` asks for
             # result-cold execution.
             return execute_compiled(
-                plan,
-                self.relations,
-                cache=self.plan_cache if use_cache else None,
-                compile_store=self.plan_cache,
-                key_index=self._join_index,
-                relation_stats=self.relation_stats,
-                tracer=tracer,
-                fault_injector=self._fault_injector,
+                plan, self.relations, compile_store=self.plan_cache,
+                **common,
             )
-        return execute_streaming(
-            plan,
-            self.relations,
-            cache=self.plan_cache if use_cache else None,
-            key_index=self._join_index,
-            mode=mode,
-            relation_stats=self.relation_stats,
-            tracer=tracer,
-            fault_injector=self._fault_injector,
-        )
+        return execute_sharded(plan, self.relations, shards=shards, **common)
 
     def run(
         self,
@@ -612,37 +579,31 @@ class Database:
     ) -> ExecutionResult:
         """Execute a plan (cached by default).
 
-        Every mode returns the identical value/work/ledger.
-        ``mode="batch"`` uses the operator-at-a-time batch executor —
-        fastest one-shot cold path; ``mode="compiled"`` lowers the plan
-        to a specialized function memoized in the plan cache's artifact
-        table — fastest repeated cold path; ``mode="reference"`` runs
-        the tuple-at-a-time interpreter.  ``mode="sharded"`` hash-
+        Every mode in :data:`MODES` returns the identical
+        value/work/ledger.  ``mode="batch"`` uses the operator-at-a-time
+        batch executor; ``mode="compiled"`` lowers the plan to a
+        specialized function memoized in the plan cache's artifact
+        table — the fastest repeated cold path; ``mode="reference"``
+        runs the tuple-at-a-time interpreter.  ``mode="sharded"`` hash-
         partitions the base relations per the plan's equality keys and
         evaluates shard-by-shard on a process pool (``shards=N``; see
         :mod:`repro.engine.exec.shard`), merging a result byte-identical
         to streaming; non-partitionable plans run single-shard.
-        ``mode="auto"`` derives a
-        cost catalog from the live contents (:meth:`current_stats`),
-        scores every candidate executor (:func:`~repro.optimizer.cost.
-        choose_mode`) and runs the cheapest; the decision is memoized
-        per (plan, mutation generation) and surfaced on the root span's
-        ``meta`` when tracing.  See docs/EXECUTION.md.
+        ``mode="auto"`` lets the cost model choose (:meth:`plan_mode`);
+        the decision is memoized per (plan, mutation generation) and
+        surfaced on the root span's ``meta`` when tracing.  See
+        docs/EXECUTION.md.
 
-        **Graceful degradation**: if an executor fails mid-query (an
-        injected fault, a compile error, any unexpected exception), the
-        engine falls back down :data:`MODE_CHAIN` — compiled → batch →
-        stream → reference — starting from the requested mode
-        (``mode="sharded"`` enters at :data:`SHARDED_CHAIN`: sharded →
-        batch → stream → reference), and
-        re-runs on the next-simpler executor.  Executor parity
-        guarantees the fallback answer is the answer (identical value,
-        work, ledger).  Every degradation event bumps the
+        **Graceful degradation**: if a non-reference executor fails
+        mid-query (an injected fault, a compile error, any unexpected
+        exception), the query re-runs once on the reference
+        interpreter.  Executor parity guarantees the fallback answer
+        is the answer (identical value, work, ledger).  The event
+        ``{"mode", "to": "reference", "error"}`` bumps the
         ``robustness.degraded`` metrics counters and is annotated on
         the root span's ``meta["degraded"]`` so EXPLAIN/tracing show
-        why a mode was not used; see docs/ROBUSTNESS.md.  The reference
-        interpreter is the end of the chain — if it fails too, the
-        error propagates.
+        why a mode was not used; see docs/ROBUSTNESS.md.  If the
+        reference fails too, the error propagates.
 
         ``tracer`` (a :class:`~repro.obs.trace.Tracer`) records a span
         tree for the execution; see docs/OBSERVABILITY.md."""
@@ -650,42 +611,28 @@ class Database:
         if mode == "auto":
             decision = self.plan_mode(plan)
             mode = decision.mode
-        if mode == "sharded":
-            chain: tuple = SHARDED_CHAIN
-        elif mode in MODE_CHAIN:
-            chain = MODE_CHAIN[MODE_CHAIN.index(mode):]
-        else:
+        elif mode not in MODES:
             raise ValueError(
-                f"mode must be 'auto', 'reference', 'stream', 'batch', "
-                f"'compiled' or 'sharded', got {mode!r}"
+                f"mode must be 'auto' or one of {MODES}, got {mode!r}"
             )
-        degraded: list[dict] = []
-        result: Optional[ExecutionResult] = None
-        for step, attempt in enumerate(chain):
-            try:
-                result = self._run_mode(
-                    plan, attempt, use_cache, tracer, shards
-                )
-                break
-            except Exception as exc:
-                if step == len(chain) - 1:
-                    raise
-                from ..obs.metrics import counter
-
-                counter("robustness.degraded")
-                counter(f"robustness.degraded.{attempt}")
-                degraded.append(
-                    {
-                        "mode": attempt,
-                        "to": chain[step + 1],
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
         meta: dict = {}
         if decision is not None:
             meta["auto"] = decision.to_dict()
-        if degraded:
-            meta["degraded"] = degraded
+        try:
+            result = self._run_mode(plan, mode, use_cache, tracer, shards)
+        except Exception as exc:
+            if mode == "reference":
+                raise
+            from ..obs.metrics import counter
+
+            counter("robustness.degraded")
+            counter(f"robustness.degraded.{mode}")
+            meta["degraded"] = [{
+                "mode": mode,
+                "to": "reference",
+                "error": f"{type(exc).__name__}: {exc}",
+            }]
+            result = execute_reference(plan, self.relations, tracer=tracer)
         if meta and tracer is not None and tracer.last is not None:
             # Merge, never clobber: the executor may have attached its
             # own meta to the root span already.

@@ -17,13 +17,11 @@ from .delta import (
     analyze_plan as analyze_maintainability,
     classify as classify_maintainability,
 )
-from .executor import MAX_PIPELINE_DEPTH, execute_streaming, subtree_counts
+from .executor import MAX_PIPELINE_DEPTH, execute_streaming
 from .fingerprint import (
     annotate_plan,
     callable_identity,
-    plan_structural_hash,
     relation_fingerprint,
-    result_cache_key,
     semantic_cache_key,
 )
 from .operators import Frame, collect_frame, node_label
@@ -44,12 +42,9 @@ __all__ = [
     "execute_sharded",
     "plan_partitioning",
     "plan_depth",
-    "subtree_counts",
     "annotate_plan",
     "callable_identity",
-    "plan_structural_hash",
     "relation_fingerprint",
-    "result_cache_key",
     "semantic_cache_key",
     "Frame",
     "collect_frame",

@@ -669,7 +669,6 @@ def execute_compiled(
             db,
             cache=cache,
             key_index=key_index,
-            relation_stats=relation_stats,
             tracer=tracer,
             fault_injector=fault_injector,
         )

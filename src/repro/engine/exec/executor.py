@@ -83,7 +83,7 @@ from .operators import (
     union_gen,
 )
 
-__all__ = ["execute_streaming", "subtree_counts", "MAX_PIPELINE_DEPTH"]
+__all__ = ["execute_streaming", "MAX_PIPELINE_DEPTH"]
 
 _EMPTY = CVSet()
 
@@ -103,17 +103,6 @@ MAX_PIPELINE_DEPTH = 128
 _VISIT, _COMBINE = 0, 1
 # Combine flavors.
 _GENERIC, _BULK, _PREBUILT = 0, 1, 2
-
-
-def subtree_counts(plan: Plan) -> Counter:
-    """Occurrence count of every subtree, by structural equality."""
-    counts: Counter = Counter()
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        counts[node] += 1
-        stack.extend(node.children())
-    return counts
 
 
 def _finish_spans(root_frame: Frame, spans: dict[int, Span]) -> Span:
@@ -147,8 +136,6 @@ def execute_streaming(
     *,
     cache: Optional[PlanCache] = None,
     key_index: Optional[KeyIndex] = None,
-    mode: str = "stream",
-    relation_stats=None,
     tracer: Optional[Tracer] = None,
     fault_injector=None,
 ) -> ExecutionResult:
@@ -156,17 +143,6 @@ def execute_streaming(
 
     Returns an :class:`ExecutionResult` identical (value, work,
     per-node ledger) to :func:`repro.optimizer.plan.execute_reference`.
-
-    ``mode="batch"`` routes to the operator-at-a-time batch executor
-    (:func:`~repro.engine.exec.batch.execute_batch`) — same contract,
-    same cache keys, no per-tuple generator pipeline; the fastest cold
-    path for one-shot plans.  ``mode="compiled"`` routes to the plan
-    compiler (:func:`~repro.engine.exec.compile.execute_compiled`) —
-    same contract again, with the plan lowered once to a specialized
-    function and memoized, the fastest repeated-cold path.
-    ``relation_stats`` (batch and compiled modes) supplies cached scan
-    weights and uniform tuple widths so base relations are not
-    re-weighed per execution.
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`) records a span
     tree — one span per plan-node occurrence, with rows, work, cache
@@ -176,53 +152,12 @@ def execute_streaming(
 
     ``fault_injector`` (a :class:`~repro.robustness.faults.
     FaultInjector`) draws a seeded ``"operator"`` fault per physical
-    operator wired — the chaos adversary for the degradation chain in
+    operator wired — the chaos adversary for the reference fallback in
     :meth:`~repro.engine.database.Database.run`.  ``None`` (the
     default) costs one ``is not None`` check per operator.  Faults are
     drawn *before* the operator is wired, so a failed execution never
     records spans or pollutes the cache with partial results.
     """
-    if mode == "batch":
-        from .batch import execute_batch
-
-        return execute_batch(
-            plan,
-            db,
-            cache=cache,
-            key_index=key_index,
-            relation_stats=relation_stats,
-            tracer=tracer,
-            fault_injector=fault_injector,
-        )
-    if mode == "compiled":
-        from .compile import execute_compiled
-
-        return execute_compiled(
-            plan,
-            db,
-            cache=cache,
-            key_index=key_index,
-            relation_stats=relation_stats,
-            tracer=tracer,
-            fault_injector=fault_injector,
-        )
-    if mode == "sharded":
-        from .shard import execute_sharded
-
-        return execute_sharded(
-            plan,
-            db,
-            cache=cache,
-            key_index=key_index,
-            relation_stats=relation_stats,
-            tracer=tracer,
-            fault_injector=fault_injector,
-        )
-    if mode != "stream":
-        raise ValueError(
-            f"mode must be 'stream', 'batch', 'compiled' or 'sharded', "
-            f"got {mode!r}"
-        )
     if cache is not None:
         # Shared interning: tokens (and alias ordinals) are stable
         # across executions, so warm lookups hit.

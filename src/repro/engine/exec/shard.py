@@ -52,8 +52,8 @@ How the contract is kept:
 
 * **Faults.**  The ``"shard"`` fault site models worker loss mid-shard:
   the injector draws once per shard before dispatch, and an injected
-  fault escapes to ``Database.run``'s degradation chain
-  (``sharded -> batch -> stream -> reference``).
+  fault escapes to ``Database.run``, which re-runs the query on the
+  reference interpreter.
 """
 
 from __future__ import annotations
@@ -362,7 +362,6 @@ def execute_sharded(
             db,
             cache=cache,
             key_index=key_index,
-            relation_stats=relation_stats,
             tracer=tracer,
             fault_injector=fault_injector,
         )
@@ -378,7 +377,7 @@ def execute_sharded(
     if fault_injector is not None:
         # Worker loss mid-shard: one draw per shard, in shard order,
         # before any work is dispatched — replayable, and an injected
-        # fault escapes into Database.run's degradation chain.
+        # fault escapes into Database.run's reference fallback.
         for k in range(shards):
             fault_injector.maybe_raise("shard", f"shard[{k}]")
 
@@ -404,8 +403,7 @@ def execute_sharded(
             counter("shard.skeleton_mismatch")
             return execute_streaming(
                 plan, db, cache=cache, key_index=key_index,
-                relation_stats=relation_stats, tracer=tracer,
-                fault_injector=fault_injector,
+                tracer=tracer, fault_injector=fault_injector,
             )
 
     value = CVSet(row for result in results for row in result.value)

@@ -194,19 +194,20 @@ class _Checker:
         if not ok:
             self._record(mode, detail)
 
-    #: Streaming, batch and compiled variants of every cache state.
-    #: The shared runs all probe the same cache the other executors
-    #: populate, so the modes also fuzz cross-executor cache interop.
-    ALL_MODES = (
-        "cold",
-        "fresh",
-        "shared",
-        "batch-cold",
-        "batch-fresh",
-        "batch-shared",
-        "compiled-cold",
-        "compiled-fresh",
-        "compiled-shared",
+    #: ``(label prefix, executor)`` in check order.  Every executor
+    #: runs in every cache state: ``cold`` (no cache), ``fresh`` (a new
+    #: cache, cold then warm) and ``shared`` — the shared runs all probe
+    #: the same cache the other executors populate, so the modes also
+    #: fuzz cross-executor cache interop.
+    EXECUTORS = (
+        ("", execute_streaming),
+        ("batch-", execute_batch),
+        ("compiled-", execute_compiled),
+    )
+    ALL_MODES = tuple(
+        prefix + state
+        for prefix, _ in EXECUTORS
+        for state in ("cold", "fresh", "shared")
     )
 
     def check(
@@ -217,68 +218,23 @@ class _Checker:
         modes: tuple[str, ...] = ALL_MODES,
     ) -> None:
         reference = execute_reference(plan, db)
-        if "cold" in modes:
-            self._compare("cold", execute_streaming(plan, db), reference)
-        if "fresh" in modes:
-            fresh = PlanCache()
-            self._compare(
-                "fresh-cold",
-                execute_streaming(plan, db, cache=fresh),
-                reference,
-            )
-            self._compare(
-                "fresh-warm",
-                execute_streaming(plan, db, cache=fresh),
-                reference,
-            )
-        if "shared" in modes:
-            self._compare(
-                "shared",
-                execute_streaming(plan, db, cache=self.shared),
-                reference,
-            )
-        if "batch-cold" in modes:
-            self._compare("batch-cold", execute_batch(plan, db), reference)
-        if "batch-fresh" in modes:
-            fresh = PlanCache()
-            self._compare(
-                "batch-fresh-cold",
-                execute_batch(plan, db, cache=fresh),
-                reference,
-            )
-            self._compare(
-                "batch-fresh-warm",
-                execute_batch(plan, db, cache=fresh),
-                reference,
-            )
-        if "batch-shared" in modes:
-            self._compare(
-                "batch-shared",
-                execute_batch(plan, db, cache=self.shared),
-                reference,
-            )
-        if "compiled-cold" in modes:
-            self._compare(
-                "compiled-cold", execute_compiled(plan, db), reference
-            )
-        if "compiled-fresh" in modes:
-            fresh = PlanCache()
-            self._compare(
-                "compiled-fresh-cold",
-                execute_compiled(plan, db, cache=fresh),
-                reference,
-            )
-            self._compare(
-                "compiled-fresh-warm",
-                execute_compiled(plan, db, cache=fresh),
-                reference,
-            )
-        if "compiled-shared" in modes:
-            self._compare(
-                "compiled-shared",
-                execute_compiled(plan, db, cache=self.shared),
-                reference,
-            )
+        for prefix, execute in self.EXECUTORS:
+            if prefix + "cold" in modes:
+                self._compare(prefix + "cold", execute(plan, db), reference)
+            if prefix + "fresh" in modes:
+                fresh = PlanCache()
+                for run in ("cold", "warm"):
+                    self._compare(
+                        f"{prefix}fresh-{run}",
+                        execute(plan, db, cache=fresh),
+                        reference,
+                    )
+            if prefix + "shared" in modes:
+                self._compare(
+                    prefix + "shared",
+                    execute(plan, db, cache=self.shared),
+                    reference,
+                )
 
     def check_trace(self, plan: Plan, db: TMapping[str, CVSet]) -> None:
         """Cross-check streaming vs batch span trees on one cold plan.
@@ -711,7 +667,7 @@ def _scenario_sharded(rng: random.Random, check: _Checker) -> None:
             execute_sharded(atom_plan, adb, shards=shards, jobs=1),
             want,
         )
-    # Live database end to end: cache on, degradation chain wired, and
+    # Live database end to end: cache on, reference fallback wired, and
     # picklable plans really cross the process pool.
     live = Database()
     for name in _NAMES:

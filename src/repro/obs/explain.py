@@ -12,10 +12,11 @@ annotations, wall time optional) or as JSON (``to_dict``, with
 ``wall=False`` for byte-deterministic output).
 
 ``db`` may be a plain relation mapping or a
-:class:`~repro.engine.database.Database`; a ``Database`` contributes
-its result cache (so EXPLAIN shows real hits and misses — pass
-``use_cache=False`` for a pure cold run), its maintained join indexes,
-and its relation statistics, exactly as ``Database.run`` would.
+:class:`~repro.engine.database.Database`; either way the plan runs
+through ``Database.run``.  A ``Database`` contributes its result cache
+(so EXPLAIN shows real hits and misses — pass ``use_cache=False`` for
+a pure cold run); a plain mapping runs result-cold in a throwaway
+``Database``.
 
 CLI: ``python -m repro explain [PLAN] [--mode all|reference|stream|
 batch] [--json] [--warm N]`` (see :mod:`repro.cli`).
@@ -30,9 +31,11 @@ from .trace import Span, Tracer
 
 __all__ = ["MODES", "ExplainReport", "explain", "render_span_tree"]
 
-#: Executor modes :func:`explain` understands, in canonical order.
-#: ``"compiled"`` runs the plan compiler; ``"auto"`` lets the cost
-#: model pick the executor (the report carries the decision).
+#: Executor modes :func:`explain` understands: the engine's
+#: :data:`~repro.engine.database.MODES` plus ``"auto"``, which lets the
+#: cost model pick the executor (the report carries the decision).
+#: Spelled out rather than imported so ``repro.obs`` loads without the
+#: engine.
 MODES = ("reference", "stream", "batch", "compiled", "sharded", "auto")
 
 
@@ -157,85 +160,37 @@ def explain(plan, db, mode: str = "stream", *, use_cache: bool = True,
             tracer: Optional[Tracer] = None) -> ExplainReport:
     """Execute ``plan`` over ``db`` with tracing on; return the report.
 
-    ``db`` is a relation mapping or a ``Database``.  ``use_cache``
-    only matters for a ``Database`` (plain mappings carry no cache):
-    with it, stream/batch runs go through the database's plan cache
-    and the report carries the get/put/evict counter delta.  ``shards``
-    only matters for ``mode="sharded"`` (default: the executor's
-    ``DEFAULT_SHARDS``).  Pass your own ``tracer`` to keep the raw span
-    for further inspection.
+    ``db`` is a ``Database`` or a plain relation mapping.  Either way
+    the plan runs through ``Database.run``, so EXPLAIN sees exactly
+    what production sees: the auto-mode decision *and* any graceful-
+    degradation fallbacks, both merged onto the root span's meta by
+    ``run`` itself.  A plain mapping is loaded into a throwaway
+    ``Database`` and runs result-cold (its report carries no cache
+    stats); for a ``Database``, ``use_cache`` routes the run through
+    its plan cache and the report carries the get/put/evict counter
+    delta.  ``shards`` only matters for ``mode="sharded"`` (default:
+    the executor's ``DEFAULT_SHARDS``).  Pass your own ``tracer`` to
+    keep the raw span for further inspection.
     """
-    # Imported here so `repro.obs` stays import-light (no engine
-    # dependency at module import time).
-    from ..engine.exec import execute_streaming
-    from ..optimizer.plan import execute_reference
-
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     tracer = tracer if tracer is not None else Tracer()
+    if not hasattr(db, "run"):
+        # Imported here so `repro.obs` stays import-light (no engine
+        # dependency at module import time).
+        from ..engine.database import Database
 
-    relations = getattr(db, "relations", db)
-    cache = None
-    key_index = None
-    relation_stats = None
-    if hasattr(db, "plan_cache"):
-        key_index = db._join_index
-        relation_stats = db.relation_stats
-        if use_cache:
-            cache = db.plan_cache
+        relations, db = db, Database()
+        for name, relation in relations.items():
+            db[name] = relation
+        use_cache = False
 
+    cache = db.plan_cache if use_cache else None
     before = cache.stats() if cache is not None else None
-    decision = None
-    if hasattr(db, "run"):
-        # A ``Database`` executes through ``Database.run``, so EXPLAIN
-        # sees exactly what production sees: the auto-mode decision
-        # *and* any graceful-degradation fallbacks, both merged onto
-        # the root span's meta by ``run`` itself.
-        result = db.run(plan, mode=mode, use_cache=use_cache,
-                        shards=shards, tracer=tracer)
-        if mode == "auto":
-            decision = db.plan_mode(plan)  # memoized: same decision
-    else:
-        run_mode = mode
-        if mode == "auto":
-            from ..engine.exec import MAX_PIPELINE_DEPTH, plan_depth
-            from ..optimizer.cost import Stats, choose_mode
-
-            candidates = ("reference", "stream", "batch", "compiled")
-            if plan_depth(plan) > MAX_PIPELINE_DEPTH:
-                candidates = ("reference", "stream", "batch")
-            decision = choose_mode(
-                plan, Stats.of_database(relations), candidates=candidates
-            )
-            run_mode = decision.mode
-        if run_mode == "reference":
-            result = execute_reference(plan, relations, tracer=tracer)
-        elif run_mode == "sharded":
-            from ..engine.exec import execute_sharded
-
-            result = execute_sharded(
-                plan,
-                relations,
-                shards=shards,
-                cache=cache,
-                key_index=key_index,
-                relation_stats=relation_stats,
-                tracer=tracer,
-            )
-        else:
-            result = execute_streaming(
-                plan,
-                relations,
-                cache=cache,
-                key_index=key_index,
-                mode=run_mode,
-                relation_stats=relation_stats,
-                tracer=tracer,
-            )
-        if decision is not None and tracer.last is not None:
-            # Merge, never clobber — the executor may have attached
-            # meta of its own.
-            tracer.last.merge_meta({"auto": decision.to_dict()})
+    result = db.run(plan, mode=mode, use_cache=use_cache, shards=shards,
+                    tracer=tracer)
+    # Memoized: the same decision ``run`` just used.
+    decision = db.plan_mode(plan) if mode == "auto" else None
     degraded = None
     if tracer.last is not None and tracer.last.meta is not None:
         degraded = tracer.last.meta.get("degraded")

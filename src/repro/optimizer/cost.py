@@ -273,21 +273,15 @@ def choose_plan(
 #: estimated work (per-unit cost relative to the reference
 #: interpreter), the overhead is the mode's fixed per-execution cost in
 #: the same work units (plan annotation, pipeline setup, artifact
-#: lookup).  Batch beats streaming cold; the compiled path has the
-#: lowest per-unit cost but the highest fixed cost, so tiny plans still
-#: run on the reference interpreter.
+#: lookup).  The compiled path has the lowest per-unit cost but the
+#: highest fixed cost, so tiny plans still run on the reference
+#: interpreter; batch is the fast path for plans too deep to compile.
+#: Streaming (1.05w+30) never undercuts the reference, nor sharded
+#: (0.40w+200000) compiled, so neither is scored.
 MODE_COST: dict[str, tuple[float, float]] = {
     "reference": (1.0, 0.0),
-    "stream": (1.05, 30.0),
     "batch": (0.60, 60.0),
     "compiled": (0.25, 90.0),
-    # Partition-parallel streaming over a 4-shard process pool: the
-    # per-unit cost divides across workers (plus partition/merge and
-    # result pickling), but the pool spin-up is a fixed cost orders of
-    # magnitude above any in-process overhead — only plans whose
-    # estimated work dwarfs it should ever shard.  ``Database.plan_mode``
-    # additionally gates the candidate on partitionability.
-    "sharded": (0.40, 200_000.0),
 }
 
 
@@ -316,12 +310,7 @@ def choose_mode(
     plan: Plan,
     stats: Stats,
     *,
-    candidates: tuple[str, ...] = (
-        "reference",
-        "stream",
-        "batch",
-        "compiled",
-    ),
+    candidates: tuple[str, ...] = tuple(MODE_COST),
 ) -> ModeDecision:
     """Pick the cheapest execution mode for ``plan`` under ``stats``.
 

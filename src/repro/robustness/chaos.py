@@ -4,17 +4,17 @@ Each seed builds a live :class:`~repro.engine.database.Database`,
 draws per-site fault rates from its seeded rng, attaches a
 :class:`~repro.robustness.faults.FaultInjector`, and runs random plans
 through every executor mode — stream, batch, compiled, auto, sharded
-(partition-parallel, under ``shard`` faults that must degrade down
-``SHARDED_CHAIN``), warm-cache repeats, and post-mutation re-runs.  The oracle is the reference
+(partition-parallel, under ``shard`` faults that must degrade to the
+reference), warm-cache repeats, and post-mutation re-runs.  The oracle is the reference
 interpreter, which sits outside the fault surface (no cache, no
 compiler, no injection hooks), so its answer is always the fault-free
 truth.  Two invariants, checked per execution:
 
 * **zero semantic divergences** — whatever faults fired, the answer the
-  engine returns (possibly after degrading down the executor chain)
+  engine returns (possibly after degrading to the reference)
   has the reference's exact value, work, and per-node ledger;
 * **zero unhandled escapes** — no injected fault propagates out of
-  ``Database.run``; the degradation chain absorbs every one.
+  ``Database.run``; the reference fallback absorbs every one.
 
 Every ``crash_every`` seeds the harness also runs a worker-crash
 scenario: :func:`~repro.parallel.parallel_map` under a seeded
@@ -65,7 +65,7 @@ _NAMES = ("r", "s", "t")
 _MODES = ("stream", "batch", "compiled", "auto")
 
 #: Per-site rate menu each seed draws from.  Zero keeps the disabled
-#: path honest; 1.0 forces full-chain degradation down to the
+#: path honest; 1.0 forces every non-reference run to degrade to the
 #: reference; the middle rates exercise partial fallbacks and
 #: corruption-amid-hits.
 _RATES = (0.0, 0.1, 0.35, 1.0)
@@ -205,8 +205,7 @@ def _check_seed(report: ChaosReport, base_seed: int, seed: int) -> None:
         for mode in _MODES:
             check(plan, mode, use_cache=False)
         # Sharded tier: ``shard`` faults fire in the parent before
-        # dispatch and must degrade down SHARDED_CHAIN
-        # (sharded -> batch -> stream -> reference), never escape.
+        # dispatch and must degrade to the reference, never escape.
         check(plan, "sharded", use_cache=False, shards=rng.choice((2, 4)))
         # Warm path: first run populates, second must revalidate any
         # tampered entry instead of serving it.

@@ -25,8 +25,8 @@ fault sites:
   invalidate-then-recompute, never serve a half-patched entry;
 * ``"shard"`` — a shard worker is lost mid-shard (drawn once per shard,
   in shard order, before ``execute_sharded`` dispatches the partition);
-  the fault escapes into ``Database.run``'s sharded degradation chain
-  (``sharded -> batch -> stream -> reference``);
+  the fault escapes into ``Database.run``, which re-runs the query on
+  the reference interpreter;
 * ``"durability"`` — the write-ahead log misbehaves: an append is torn
   mid-record (a crash during the write — only a byte prefix reaches
   disk), a full record is silently bit-flipped in place (media

@@ -1,7 +1,6 @@
 """Batch-mode executor parity tests.
 
-``execute_batch`` (reached via ``execute_streaming(mode="batch")`` and
-``Database.run(mode="batch")``) carries the same contract as the
+``execute_batch`` (reached via ``Database.run(mode="batch")``) carries the same contract as the
 streaming engine: identical ``CVSet`` answer, identical total work,
 identical per-node ledger as the reference interpreter — for every
 plan, every database shape, every cache state — while sharing the
@@ -13,6 +12,7 @@ import random
 
 import pytest
 
+import repro.engine.database as database_mod
 from repro.engine.database import Database
 from repro.engine.exec import PlanCache, execute_batch, execute_streaming
 from repro.engine.workload import (
@@ -102,17 +102,27 @@ class TestBatchEquivalence:
 
 
 class TestModeDispatch:
-    def test_streaming_entrypoint_routes_batch(self):
-        db = {"r": CVSet({Tup((1, 2))})}
+    def test_database_run_routes_batch(self, monkeypatch):
+        db = Database()
+        db["r"] = CVSet({Tup((1, 2))})
         plan = Project((0,), Scan("r"))
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return execute_batch(*args, **kwargs)
+
+        monkeypatch.setattr(database_mod, "execute_batch", spy)
         assert_equivalent(
-            plan, db, execute_streaming(plan, db, mode="batch")
+            plan, db.relations, db.run(plan, mode="batch", use_cache=False)
         )
+        assert calls == [plan]
 
     def test_unknown_mode_rejected(self):
-        db = {"r": CVSet({Tup((1, 2))})}
+        db = Database()
+        db["r"] = CVSet({Tup((1, 2))})
         with pytest.raises(ValueError, match="mode"):
-            execute_streaming(Scan("r"), db, mode="vectorized")
+            db.run(Scan("r"), mode="vectorized")
 
 
 class TestCacheInterop:

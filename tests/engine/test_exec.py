@@ -14,8 +14,6 @@ from repro.engine.database import Database
 from repro.engine.exec import (
     PlanCache,
     execute_streaming,
-    relation_fingerprint,
-    result_cache_key,
 )
 from repro.optimizer.plan import (
     Difference,
@@ -160,13 +158,6 @@ class TestPlanCache:
         assert len(cache) == 2
         cache.invalidate("r")
         assert len(cache) == 1
-
-    def test_key_includes_fingerprints(self):
-        plan = Project((0,), Scan("r"))
-        db = {"r": cvset(tup(1, 2))}
-        key = result_cache_key(plan, db)
-        assert key[0] == plan
-        assert key[1] == (("r", relation_fingerprint(db["r"])),)
 
 
 class TestDatabaseExecution:

@@ -12,7 +12,6 @@ import pytest
 
 from tests.conftest import assert_equivalent
 
-from repro.engine.database import SHARDED_CHAIN
 from repro.engine.exec import MAX_PIPELINE_DEPTH, execute_streaming
 from repro.engine.exec.cache import PlanCache
 from repro.engine.exec.shard import (
@@ -330,10 +329,25 @@ class TestFaultsAndDegradation:
         assert got.work == want.work
         degraded = tracer.last.meta["degraded"]
         assert degraded[0]["mode"] == "sharded"
-        assert degraded[0]["to"] == SHARDED_CHAIN[1]
+        assert degraded[0]["to"] == "reference"
 
-    def test_chain_order_is_pinned(self):
-        assert SHARDED_CHAIN == ("sharded", "batch", "stream", "reference")
+    def test_chain_order_is_pinned(self, small_db):
+        # Every executor but the reference would fail here, yet the
+        # fallback is one step: sharded straight to the reference.
+        small_db.fault_injector = FaultInjector(
+            FaultPlan(seed=3, shard_rate=1.0, operator_rate=1.0,
+                      compile_rate=1.0)
+        )
+        tracer = Tracer()
+        small_db.run(
+            Difference(Scan("r"), Scan("s")), mode="sharded", shards=2,
+            use_cache=False, tracer=tracer,
+        )
+        small_db.fault_injector = None
+        events = tracer.last.meta["degraded"]
+        assert [(e["mode"], e["to"]) for e in events] == [
+            ("sharded", "reference")
+        ]
 
 
 class TestDatabaseSurface:
@@ -345,11 +359,14 @@ class TestDatabaseSurface:
         assert got.work == want.work
         assert got.per_node == want.per_node
 
-    def test_auto_offers_sharded_only_when_partitionable(self, small_db):
-        partitionable = Difference(Scan("r"), Scan("s"))
-        assert "sharded" in small_db.plan_mode(partitionable).scores
-        product = Product(Scan("r"), Scan("s"))
-        assert "sharded" not in small_db.plan_mode(product).scores
+    def test_auto_never_offers_sharded(self, small_db):
+        # Its pool spin-up keeps sharded behind compiled on every plan,
+        # partitionable or not, so auto does not score it.
+        for plan in (
+            Difference(Scan("r"), Scan("s")),
+            Product(Scan("r"), Scan("s")),
+        ):
+            assert "sharded" not in small_db.plan_mode(plan).scores
 
     def test_missing_relation_behaves_like_serial(self):
         # Serial streaming scans a missing relation as empty; a shard

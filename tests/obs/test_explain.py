@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.cli import main
+from repro.engine.database import MODES as DATABASE_MODES
 from repro.engine.workload import hr_database
 from repro.obs import (
     MODES,
@@ -160,12 +161,12 @@ class TestRendering:
         assert "(1 fell back to invalidation)" in text
 
     def test_degraded_events_surface_in_render_and_dict(self):
-        events = [{"mode": "sharded", "to": "batch", "error": "X: boom"}]
+        events = [{"mode": "sharded", "to": "reference", "error": "X: boom"}]
         report = ExplainReport(
             mode="sharded", plan="p", rows=1, work=2, root=Span("p"),
             degraded=events,
         )
-        assert "degraded: sharded -> batch (X: boom)" in report.render(
+        assert "degraded: sharded -> reference (X: boom)" in report.render(
             wall=False
         )
         assert report.to_dict()["degraded"] == events
@@ -173,6 +174,17 @@ class TestRendering:
 
 class TestPlainMapping:
     """``explain`` over a bare relation mapping (no Database attached)."""
+
+    def test_modes_are_the_database_modes_plus_auto(self):
+        assert MODES == DATABASE_MODES + ("auto",)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mapping_matches_database_with_same_rows(self, plan, db, mode):
+        got = explain(plan, dict(db.relations), mode=mode, shards=2)
+        want = explain(plan, db, mode=mode, shards=2)
+        assert (got.rows, got.work, got.decision) == (
+            want.rows, want.work, want.decision
+        )
 
     def test_reference_mode(self, plan, db):
         report = explain(plan, db.relations, mode="reference")
@@ -199,8 +211,7 @@ class TestPlainMapping:
         relations = {"r": CVSet({Tup((i, i)) for i in range(8)})}
         report = explain(deep, relations, mode="auto")
         assert report.decision is not None
-        assert report.decision["mode"] != "compiled"
-        assert "compiled" not in report.decision["scores"]
+        assert set(report.decision["scores"]) == {"reference", "batch"}
 
 
 class TestCli:

@@ -244,10 +244,10 @@ class TestMetaMerge:
     def test_merge_preserves_existing_keys(self):
         span = Span("root")
         span.merge_meta({"auto": {"mode": "compiled"}})
-        span.merge_meta({"degraded": [{"mode": "compiled", "to": "batch"}]})
+        span.merge_meta({"degraded": [{"mode": "compiled", "to": "reference"}]})
         assert span.meta == {
             "auto": {"mode": "compiled"},
-            "degraded": [{"mode": "compiled", "to": "batch"}],
+            "degraded": [{"mode": "compiled", "to": "reference"}],
         }
 
     def test_merge_overwrites_only_named_keys(self):

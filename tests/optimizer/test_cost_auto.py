@@ -12,7 +12,7 @@ import random
 
 from repro.engine.database import Database
 from repro.engine.exec import MAX_PIPELINE_DEPTH
-from repro.engine.workload import deep_chain_plan
+from repro.engine.workload import deep_chain_plan, random_database, random_plan
 from repro.obs import explain
 from repro.obs.trace import Tracer
 from repro.optimizer.cost import (
@@ -135,10 +135,7 @@ class TestChooseMode:
     def test_scores_cover_every_candidate(self):
         stats = Stats({"r": 100}, {"r": 2})
         decision = choose_mode(Project((0,), Scan("r")), stats)
-        # "sharded" is costed but not a default candidate: the caller
-        # (``Database.plan_mode``) must gate it on partitionability
-        # before offering it.
-        assert set(decision.scores) == set(MODE_COST) - {"sharded"}
+        assert set(decision.scores) == set(MODE_COST)
         assert decision.scores[decision.mode] == min(
             decision.scores.values()
         )
@@ -147,7 +144,7 @@ class TestChooseMode:
         stats = Stats({"r": 100_000}, {"r": 2})
         plan = Project((0,), Scan("r"))
         decision = choose_mode(
-            plan, stats, candidates=("reference", "stream", "batch")
+            plan, stats, candidates=("reference", "batch")
         )
         assert decision.mode != "compiled"
         assert "compiled" not in decision.scores
@@ -186,6 +183,38 @@ class TestDatabaseAuto:
         result = db.run(plan, use_cache=False, mode="auto")
         reference = db.run_reference(plan)
         assert result.value == reference.value
+
+    def test_random_plans_score_reference_and_compiled_only(self):
+        """Only modes that can win are offered: at most
+        ``MAX_PIPELINE_DEPTH`` deep, reference against compiled."""
+        for seed in range(40):
+            rng = random.Random(seed)
+            db = Database()
+            for name, rows in random_database(
+                rng, ("r", "s", "t"), max_rows=rng.randint(0, 60)
+            ).items():
+                db[name] = rows
+            plan = random_plan(rng, ("r", "s", "t"), depth=rng.randint(1, 6))
+            decision = db.plan_mode(plan)
+            assert set(decision.scores) == {"reference", "compiled"}
+            assert decision.mode in decision.scores
+
+    def test_deep_chains_score_reference_and_batch_only(self):
+        db = Database()
+        db.create("r", 2)
+        db.insert("r", [(i, i) for i in range(50)])
+        for seed in range(5):
+            plan = deep_chain_plan(
+                random.Random(seed), "r", MAX_PIPELINE_DEPTH + 1 + seed
+            )
+            assert set(db.plan_mode(plan).scores) == {"reference", "batch"}
+        plan = deep_chain_plan(random.Random(5), "r", 1000)
+        assert db.plan_mode(plan).mode == "batch"
+        result = db.run(plan, use_cache=False, mode="auto")
+        reference = db.run_reference(plan)
+        assert result.value == reference.value
+        assert result.work == reference.work
+        assert result.per_node == reference.per_node
 
     def test_shallow_plan_keeps_compiled_candidate(self, hr):
         db = hr()
@@ -244,10 +273,10 @@ class TestExplainAutoAndCompiled:
         assert report.to_dict()["decision"] == report.decision
 
     def test_explain_auto_on_plain_mapping(self, hr):
-        """No Database attached: the decision is derived from a
-        snapshot ``Stats`` instead of ``plan_mode``."""
+        """A plain mapping runs in a throwaway Database, so the decision
+        is the one ``plan_mode`` makes for the same rows."""
         db = hr()
         report = explain(HR_PLAN, db.relations, mode="auto")
-        assert report.decision is not None
+        assert report.decision == db.plan_mode(HR_PLAN).to_dict()
         reference = db.run_reference(HR_PLAN)
         assert report.work == reference.work

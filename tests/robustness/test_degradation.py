@@ -1,10 +1,10 @@
-"""Graceful degradation in ``Database.run``: the fallback chain, its
-observability (metrics + span meta + EXPLAIN), and seal revalidation
+"""Graceful degradation in ``Database.run``: the one-step fallback to
+the reference interpreter, its observability (metrics + span meta + EXPLAIN), and seal revalidation
 under live cache corruption."""
 
 import pytest
 
-from repro.engine.database import MODE_CHAIN, Database
+from repro.engine.database import MODES, Database
 from repro.obs import explain
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer
@@ -34,24 +34,29 @@ def _delta(after, before, key):
 
 
 class TestDegradationChain:
-    @pytest.mark.parametrize("mode", ["compiled", "batch", "stream"])
+    @pytest.mark.parametrize(
+        "mode", [m for m in MODES if m != "reference"]
+    )
     def test_operator_fault_degrades_with_identical_result(self, mode):
         db = _db()
         plan = _plan()
         want = db.run_reference(plan)
         db.fault_injector = FaultInjector(
-            FaultPlan(seed=1, operator_rate=1.0, compile_rate=1.0)
+            FaultPlan(seed=1, operator_rate=1.0, compile_rate=1.0,
+                      shard_rate=1.0)
         )
         before = _counters()
-        got = db.run(plan, mode=mode, use_cache=False)
+        tracer = Tracer()
+        got = db.run(plan, mode=mode, use_cache=False, tracer=tracer)
         after = _counters()
         assert got.value == want.value
         assert got.work == want.work
         assert got.per_node == want.per_node
-        # Every mode from the requested one down to batch/stream fails
-        # (rate 1.0), so the full remaining chain is walked.
-        expected_steps = len(MODE_CHAIN) - 1 - MODE_CHAIN.index(mode)
-        assert _delta(after, before, "robustness.degraded") == expected_steps
+        # The requested mode fails (rate 1.0) and the query re-runs
+        # once on the reference: exactly one degradation step.
+        events = tracer.last.meta["degraded"]
+        assert [(e["mode"], e["to"]) for e in events] == [(mode, "reference")]
+        assert _delta(after, before, "robustness.degraded") == 1
         assert _delta(after, before, f"robustness.degraded.{mode}") == 1
 
     def test_reference_mode_never_degrades(self):
@@ -91,8 +96,8 @@ class TestDegradationObservability:
         tracer = Tracer()
         db.run(_plan(), mode="compiled", use_cache=False, tracer=tracer)
         events = tracer.last.meta["degraded"]
-        assert [e["mode"] for e in events] == ["compiled", "batch", "stream"]
-        assert [e["to"] for e in events] == ["batch", "stream", "reference"]
+        assert [e["mode"] for e in events] == ["compiled"]
+        assert [e["to"] for e in events] == ["reference"]
         assert all("InjectedFault" in e["error"] for e in events)
 
     def test_auto_and_degraded_meta_coexist(self):
@@ -113,7 +118,7 @@ class TestDegradationObservability:
         db.run(_plan(), mode="auto", use_cache=False, tracer=tracer)
         meta = tracer.last.meta
         assert "auto" in meta and "degraded" in meta
-        assert meta["auto"]["mode"] in MODE_CHAIN
+        assert meta["auto"]["mode"] in MODES
         assert meta["degraded"][-1]["to"] == "reference"
 
     def test_explain_surfaces_degradation(self):
